@@ -27,9 +27,8 @@
 //
 // The package deliberately knows nothing about the evaluator: it depends
 // only on syntax and glob.  Execution semantics — environments, tail
-// calls, cancellation, exceptions — live in internal/core, which runs
-// these instructions through exactly the same Ctx/Binding machinery as
-// the tree walker.
+// calls, cancellation, exceptions — live in internal/core, which is the
+// only executor of these instructions.
 package compile
 
 import (
@@ -82,8 +81,8 @@ type Seq []Instr
 
 // Body is a compiled command in body position (the body of let, local,
 // for, and !).  IsBlock records whether the source command was a braced
-// block: the evaluator counts a command boundary per block member, as the
-// tree walker does, but not for a bare single-command body.
+// block: the evaluator counts a command boundary per block member, but
+// not for a bare single-command body.
 type Body struct {
 	Seq     Seq
 	IsBlock bool
@@ -227,14 +226,14 @@ type Seg struct {
 	Words []*Word // SegList
 }
 
-// Registrar receives the compiled unit (nil if compilation failed) for
-// every nested block — lambda bodies, substitution bodies — encountered
-// while compiling a parent, so closure application later starts on
-// compiled code without recompiling.
+// Registrar receives the compiled unit for every nested block — lambda
+// bodies, substitution bodies — encountered while compiling a parent, so
+// closure application later starts on compiled code without recompiling.
+// A nested block that fails to compile is not registered.
 type Registrar func(b *syntax.Block, u *Unit)
 
 // ErrUnsupported reports a node the compiler cannot lower; the evaluator
-// falls back to the tree walker for that block.
+// raises it as an error exception when that block runs.
 var ErrUnsupported = errors.New("compile: unsupported construct")
 
 // Compile lowers a rewritten block.  reg may be nil.
@@ -276,19 +275,14 @@ func (c *compiler) block(b *syntax.Block) *Unit {
 
 // subBlock compiles a nested block that may later be evaluated on its
 // own (a lambda or substitution body) and registers the result.  A
-// failure inside the sub-block does not fail the parent: the evaluator
-// will tree-walk just that block.
+// failure inside the sub-block does not fail the parent: only that
+// block fails, when it is evaluated.
 func (c *compiler) subBlock(b *syntax.Block) {
 	if b == nil {
 		return
 	}
-	sub, err := Compile(b, c.reg)
-	if c.reg != nil {
-		if err != nil {
-			c.reg(b, nil)
-		} else {
-			c.reg(b, sub)
-		}
+	if sub, err := Compile(b, c.reg); err == nil && c.reg != nil {
+		c.reg(b, sub)
 	}
 }
 
@@ -319,8 +313,8 @@ func (c *compiler) cmd(cmd syntax.Cmd) Instr {
 	case *syntax.Not:
 		return Instr{Op: OpNot, Body: c.body(cmd.Body)}
 	default:
-		// A surface node leaked through without Rewrite; lower it the
-		// way the tree walker does, on the fly.
+		// A surface node leaked through without Rewrite (a hand-built
+		// tree); lower it on the fly.
 		rw := syntax.Rewrite(cmd)
 		switch rw.(type) {
 		case *syntax.Pipe, *syntax.AndOr, *syntax.Bg, *syntax.RedirCmd, *syntax.Fn:
@@ -351,8 +345,9 @@ func (c *compiler) bindings(bs []syntax.Binding) []Binding {
 
 func (c *compiler) simple(s *syntax.Simple) Instr {
 	if len(s.Redirs) > 0 {
-		// Surface-only shape; Rewrite eliminates it.
-		c.fail()
+		// A surface-only shape from a hand-built tree: Rewrite nests
+		// the command in its redirection hook calls.
+		return c.cmd(syntax.Rewrite(s))
 	}
 	// A bare brace block in command position is grouping, not a call.
 	if len(s.Words) == 1 && len(s.Words[0].Parts) == 1 {

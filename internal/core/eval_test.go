@@ -10,6 +10,7 @@ import (
 
 	"es/internal/core"
 	"es/internal/prim"
+	"es/internal/syntax"
 )
 
 // syncBuffer is a concurrency-safe bytes.Buffer: subshells (pipeline
@@ -571,5 +572,30 @@ func TestBackquoteHookSpoof(t *testing.T) {
 	got = eval(t, i, ctx, "result `{echo real output}").Flatten(" ")
 	if got != "real output" {
 		t.Errorf("fallback backquote = %q", got)
+	}
+}
+
+// A hand-built tree (no parser, no Rewrite pass) whose Simple carries its
+// redirections directly is lowered through Rewrite like any other
+// surface node: the redirection is honoured, not dropped.
+func TestEvalHandBuiltRedirection(t *testing.T) {
+	i, ctx, out := harness(t)
+	f := filepath.Join(t.TempDir(), "f")
+	b := &syntax.Block{Cmds: []syntax.Cmd{&syntax.Simple{
+		Words:  []*syntax.Word{syntax.LitWord("echo"), syntax.LitWord("hi")},
+		Redirs: []*syntax.Redir{{Op: syntax.RedirTo, Fd: 1, Target: syntax.LitWord(f)}},
+	}}}
+	if _, err := i.EvalBlock(ctx, b, nil); err != nil {
+		t.Fatalf("EvalBlock: %v", err)
+	}
+	data, err := os.ReadFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != "hi\n" {
+		t.Errorf("file holds %q, want %q", data, "hi\n")
+	}
+	if got := out.String(); got != "" {
+		t.Errorf("stdout got %q, want nothing", got)
 	}
 }

@@ -1,15 +1,13 @@
 package core
 
-// The bytecode execution loop.  EvalBlock routes every block through
-// unitFor, which lowers the (shared, immutable) rewritten AST to the flat
-// instruction form of internal/compile exactly once, process-wide, and
-// caches it alongside the parse results.  Execution here shares all of
-// the tree walker's machinery — Ctx tail marking, Binding chains, the
-// tail-call trampoline, checkPending cancellation polls, exceptions as
-// errors — so results, exception shapes, deadlines, and interrupts are
-// identical between the two engines.  `es -nocompile` (or ES_NOCOMPILE=1
-// in the environment) keeps the walker as an escape hatch and as the
-// differential-testing reference.
+// The bytecode execution loop, the interpreter's only evaluator of the
+// core forms.  EvalBlock routes every block through unitFor, which lowers
+// the (shared, immutable) rewritten AST to the flat instruction form of
+// internal/compile exactly once, process-wide, and caches it alongside
+// the parse results.  Closure application, the tail-call trampoline, the
+// checkPending cancellation polls and exceptions live in eval.go; the
+// observable behaviour is pinned by the golden corpus in
+// testdata/eval_golden.json.
 
 import (
 	"strconv"
@@ -21,8 +19,7 @@ import (
 )
 
 // compileCache memoizes compiled units by block identity, alongside the
-// parse cache (which guarantees one shared *syntax.Block per source).  A
-// nil unit is a negative entry: the block uses the tree walker.
+// parse cache (which guarantees one shared *syntax.Block per source).
 var compileCache = cache.NewKeyMap[*syntax.Block, *compile.Unit]("compile", 1024)
 
 // FlushCompileCache drops every compiled unit (the $&recache escape
@@ -30,28 +27,26 @@ var compileCache = cache.NewKeyMap[*syntax.Block, *compile.Unit]("compile", 1024
 func FlushCompileCache() { compileCache.Flush() }
 
 // unitFor returns the compiled unit for b, lowering and caching it on
-// first use; nil means the block is tree-walked.  Nested lambda and
-// substitution bodies are registered as they are compiled, so closure
-// application starts on compiled code.
-func unitFor(b *syntax.Block) *compile.Unit {
+// first use.  Nested lambda and substitution bodies are registered as
+// they are compiled, so closure application starts on compiled code.  A
+// failed compilation is not cached.
+func unitFor(b *syntax.Block) (*compile.Unit, error) {
 	if u, ok := compileCache.Get(b); ok {
-		return u
+		return u, nil
 	}
 	u, err := compile.Compile(b, func(sb *syntax.Block, su *compile.Unit) {
 		compileCache.Put(sb, su)
 	})
 	if err != nil {
-		compileCache.Put(b, nil)
-		return nil
+		return nil, err
 	}
 	compileCache.Put(b, u)
-	return u
+	return u, nil
 }
 
 // execSeq evaluates a compiled command sequence; the result is the last
 // command's result (the empty list — true — for an empty sequence).
-// When ctx is a tail context the final command runs in tail position,
-// exactly as EvalBlock does.
+// When ctx is a tail context the final command runs in tail position.
 func (i *Interp) execSeq(ctx *Ctx, seq compile.Seq, env *Binding) (List, error) {
 	if len(seq) == 0 {
 		return List{}, nil
@@ -68,8 +63,8 @@ func (i *Interp) execSeq(ctx *Ctx, seq compile.Seq, env *Binding) (List, error) 
 }
 
 // execBody evaluates a compiled body-position command (the body of let,
-// local, for, !), mirroring evalCmd's boundary: one cancellation poll,
-// then block bodies count their member command boundaries.
+// local, for, !): one cancellation poll, then block bodies count their
+// member command boundaries.
 func (i *Interp) execBody(ctx *Ctx, b *compile.Body, env *Binding) (List, error) {
 	if err := i.checkPending(); err != nil {
 		return nil, err
@@ -193,7 +188,7 @@ func (i *Interp) execLet(ctx *Ctx, in *compile.Instr, env *Binding) (List, error
 		if err != nil {
 			return nil, err
 		}
-		values, err := i.execWordsCtx(ctx.NonTail(), &b.Values, inner)
+		values, err := i.execWords(ctx.NonTail(), &b.Values, inner)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +227,7 @@ func (i *Interp) execLocal(ctx *Ctx, in *compile.Instr, env *Binding) (List, err
 			restore()
 			return nil, err
 		}
-		values, err := i.execWordsCtx(nt, &b.Values, env)
+		values, err := i.execWords(nt, &b.Values, env)
 		if err != nil {
 			restore()
 			return nil, err
@@ -264,7 +259,7 @@ func (i *Interp) execFor(ctx *Ctx, in *compile.Instr, env *Binding) (List, error
 		if err != nil {
 			return nil, err
 		}
-		v, err := i.execWordsCtx(nt, &b.Values, env)
+		v, err := i.execWords(nt, &b.Values, env)
 		if err != nil {
 			return nil, err
 		}
@@ -361,8 +356,7 @@ func (i *Interp) execPats(ctx *Ctx, cp *compile.Pats, env *Binding) ([]glob.Patt
 // ---- word evaluation ----
 
 // execWords evaluates a compiled word list to a term list, splicing list
-// values and performing filename expansion on unquoted wildcards —
-// EvalWords over the compiled form.
+// values and performing filename expansion on unquoted wildcards.
 func (i *Interp) execWords(ctx *Ctx, wl *compile.WordList, env *Binding) (List, error) {
 	if wl.Const != nil {
 		return i.constList(wl.Const), nil
@@ -379,13 +373,8 @@ func (i *Interp) execWords(ctx *Ctx, wl *compile.WordList, env *Binding) (List, 
 	return out, nil
 }
 
-// execWordsCtx is execWords for binding values (already non-tail ctx).
-func (i *Interp) execWordsCtx(ctx *Ctx, wl *compile.WordList, env *Binding) (List, error) {
-	return i.execWords(ctx, wl, env)
-}
-
-// execWordTerms evaluates one compiled word to terms (EvalWords over a
-// single word: match subjects, subscript words).
+// execWordTerms evaluates one compiled word to terms (match subjects,
+// subscript words).
 func (i *Interp) execWordTerms(ctx *Ctx, w *compile.Word, env *Binding) (List, error) {
 	i.Alloc.list()
 	return i.appendWordTerms(ctx, nil, w, env)

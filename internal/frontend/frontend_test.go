@@ -230,7 +230,12 @@ func TestQueueCeilingShed(t *testing.T) {
 	if err := a.fw.Write(&server.Frame{Type: "eval", ID: 1, Src: "sleep 0.4; result slow"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond) // let it occupy the semaphore
+	// Wait until it occupies the semaphore.
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().InFlight.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("eval never reached the semaphore")
+		}
+	}
 
 	b := dialNet(t, "unix", fe.Socket())
 	if err := b.fw.Write(&server.Frame{Type: "hello", Window: 4}); err != nil {

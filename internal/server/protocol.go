@@ -98,6 +98,11 @@ const maxFrameBytes = 8 << 20
 // error frame and a bye rather than dying silently.
 var ErrFrameTooLarge = fmt.Errorf("frame exceeds %d bytes: %w", maxFrameBytes, bufio.ErrTooLong)
 
+// ErrBadFrame wraps a frame line that is not a valid JSON frame.  The
+// scanner has already consumed the line, so the stream stays in sync: the
+// session answers with an error frame and keeps reading.
+var ErrBadFrame = errors.New("bad frame")
+
 // FrameReader decodes newline-delimited frames, counting wire bytes into
 // the given metrics counters (nil counters are skipped; sessions count
 // into both the server-wide and the per-listener counter).
@@ -113,7 +118,8 @@ func NewFrameReader(r io.Reader, in ...*atomic.Int64) *FrameReader {
 }
 
 // Read returns the next frame; io.EOF at end of stream, ErrFrameTooLarge
-// for a line over the frame-size bound.
+// for a line over the frame-size bound, ErrBadFrame for a line that does
+// not decode.
 func (fr *FrameReader) Read() (*Frame, error) {
 	if !fr.s.Scan() {
 		if err := fr.s.Err(); err != nil {
@@ -132,7 +138,7 @@ func (fr *FrameReader) Read() (*Frame, error) {
 	}
 	var f Frame
 	if err := json.Unmarshal(line, &f); err != nil {
-		return nil, fmt.Errorf("bad frame: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}
 	return &f, nil
 }

@@ -214,6 +214,18 @@ func TestByeFrame(t *testing.T) {
 }
 
 // waitClosed waits for the server to observe all sessions gone.
+// waitInFlight polls until n evals hold the eval semaphore.
+func waitInFlight(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Metrics().InFlight.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d evals in flight, want %d", srv.Metrics().InFlight.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func waitClosed(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -322,7 +334,7 @@ func TestDrainUnderLoad(t *testing.T) {
 		}()
 	}
 	started.Wait()
-	time.Sleep(50 * time.Millisecond) // let the evals reach the interpreter
+	waitInFlight(t, srv, sessions)
 	if err := srv.Drain(10 * time.Second); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
@@ -359,7 +371,7 @@ func TestDrainForceClosesStuckSessions(t *testing.T) {
 	if err := c.fw.Write(&Frame{Type: "eval", ID: 1, Src: "while {} {}"}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the eval start spinning
+	waitInFlight(t, srv, 1)
 	start := time.Now()
 	err := srv.Drain(200 * time.Millisecond)
 	if err == nil {
@@ -384,5 +396,26 @@ func TestUnknownFrameType(t *testing.T) {
 	// Session still works afterwards.
 	if f := c.eval(t, "result ok", 0); f.Type != "result" {
 		t.Fatalf("session died after bad frame: %+v", f)
+	}
+}
+
+// TestMalformedFrame: a line that is not a JSON frame gets an error frame,
+// and the session keeps reading — the eval sent after it is answered.
+func TestMalformedFrame(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	c := dial(t, srv)
+	if _, err := c.conn.Write([]byte("{not json\n")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.fw.Write(&Frame{Type: "eval", ID: 2, Src: "result ok"}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.fr.Read()
+	if err != nil || f.Type != "error" || len(f.Exception) < 3 || !strings.Contains(f.Exception[2], "bad frame") {
+		t.Fatalf("malformed line reply = %+v, %v", f, err)
+	}
+	f, err = c.fr.Read()
+	if err != nil || f.Type != "result" || f.ID != 2 {
+		t.Fatalf("eval after malformed line = %+v, %v", f, err)
 	}
 }

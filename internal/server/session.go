@@ -174,6 +174,12 @@ func (s *session) readLoop() {
 	}()
 	for {
 		f, err := s.fr.Read()
+		if errors.Is(err, ErrBadFrame) {
+			// The line is consumed; answer it and read the next one.
+			s.fw.Write(&Frame{Type: "error",
+				Exception: []string{"error", "esd", err.Error()}})
+			continue
+		}
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The doc on maxFrameBytes promises an error frame, and

@@ -4,7 +4,6 @@
 #   tier 1 (default): go build + go test, the floor every change must hold
 #   tier 2 (-race):   adds go vet, the race detector over the full suite
 #                     (including the 100-session esd soak test), the
-#                     tree-walker engine suite (ES_NOCOMPILE=1), the
 #                     serving-layer bench gate against BENCH_server.json,
 #                     and a binary-level server soak: concurrent esc
 #                     clients against a race-enabled esd, asserting zero
@@ -28,8 +27,6 @@ if [ "${1:-}" = "-race" ]; then
 	go vet ./...
 	echo "== go test -race ./..."
 	go test -race ./...
-	echo "== tree-walker engine suite (ES_NOCOMPILE=1)"
-	ES_NOCOMPILE=1 go test . ./internal/core ./internal/image
 	echo "== server bench gate (scripts/bench_server.sh -check)"
 	sh scripts/bench_server.sh -check
 	echo "== server soak (esd -race + concurrent esc, SIGTERM drain)"
